@@ -2,11 +2,11 @@
 //! queue disciplines, RNG, and end-to-end packet forwarding rate.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use mltcp_netsim::event::{EngineKind, EventKind, EventQueue};
+use mltcp_netsim::event::{EventKind, EventQueue};
 use mltcp_netsim::link::{Bandwidth, LinkSpec};
 use mltcp_netsim::node::NodeId;
 use mltcp_netsim::packet::{FlowId, Packet};
-use mltcp_netsim::queue::{FifoQueue, PriorityQueue, Queue};
+use mltcp_netsim::queue::{FifoQueue, PriorityQueue};
 use mltcp_netsim::rng::SimRng;
 use mltcp_netsim::sim::{Agent, AgentCtx, Simulator};
 use mltcp_netsim::time::{SimDuration, SimTime};
@@ -35,8 +35,8 @@ fn bench_event_queue(c: &mut Criterion) {
 /// Steady-state heap churn: the queue holds a standing population of
 /// pending events (as a mid-run simulation does) and each iteration is
 /// one push + one pop. Unlike `push_pop_10k`'s fill-then-drain, every
-/// sift here works at full depth, so this isolates the cost that
-/// `size_of::<Event>()` multiplies.
+/// sift here works at full depth, so this isolates the cost that the
+/// heap entry's size multiplies.
 fn bench_event_queue_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
     g.throughput(Throughput::Elements(10_000));
@@ -54,33 +54,6 @@ fn bench_event_queue_churn(c: &mut Criterion) {
             }
         })
     });
-    g.finish();
-}
-
-/// The same standing-population churn as [`bench_event_queue_churn`],
-/// run on each engine explicitly. Timer events never take the link
-/// rails, so this compares the wheel's bucket insert + bitmap scan
-/// against the heap's full-depth sift — the engines' floor, not their
-/// best case (deliveries on rails are where the wheel wins big).
-fn bench_wheel_vs_heap_churn(c: &mut Criterion) {
-    let mut g = c.benchmark_group("wheel_vs_heap_churn");
-    g.throughput(Throughput::Elements(10_000));
-    for (name, engine) in [("heap", EngineKind::Heap), ("wheel", EngineKind::Wheel)] {
-        g.bench_function(name, |b| {
-            let mut q = EventQueue::with_engine(engine);
-            for i in 0..4_096u64 {
-                q.schedule(SimTime(i * 31), EventKind::Timer { agent: 0, token: i });
-            }
-            let mut t = 4_096u64 * 31;
-            b.iter(|| {
-                for _ in 0..10_000 {
-                    t += 17;
-                    q.schedule(SimTime(t), EventKind::Timer { agent: 0, token: t });
-                    black_box(q.pop());
-                }
-            })
-        });
-    }
     g.finish();
 }
 
@@ -241,7 +214,6 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_event_queue_churn,
-    bench_wheel_vs_heap_churn,
     bench_queues,
     bench_rng,
     bench_forwarding,

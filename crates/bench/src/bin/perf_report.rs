@@ -1,25 +1,20 @@
 //! **Performance report** — the tracked events/sec baseline.
 //!
 //! Measures the simulator's hot-path throughput (events processed per
-//! wall-clock second) on a canonical contended workload — on **both**
-//! event engines, interleaved, best-of-N per engine — plus the sweep
-//! harness's parallel speedup, then writes `BENCH_PR5.json` at the
-//! repository root. That file is the committed baseline: future
-//! performance PRs re-run this binary (release profile, quiet machine)
-//! and compare. See DESIGN.md § Performance for how to read and update
-//! it.
+//! wall-clock second) on a canonical contended workload, best-of-N,
+//! plus the sweep harness's parallel speedup, then writes
+//! `BENCH_PR5.json` at the repository root. That file is the committed
+//! baseline: future performance PRs re-run this binary (release
+//! profile, quiet machine) and compare. See DESIGN.md § Performance for
+//! how to read and update it.
 //!
-//! Best-of-N, interleaved: shared CI boxes show ±30% run-to-run wall
-//! clock noise, which a single pass cannot distinguish from a real
-//! regression. Each engine runs `MLTCP_PERF_PASSES` (default 3) passes,
-//! alternating heap/wheel so thermal or neighbour drift hits both
-//! equally, and the minimum wall time per engine is the reported number
-//! (the minimum estimates the noise-free cost; means smear the noise
-//! back in).
-//!
-//! The duel doubles as a determinism check: every pass on either engine
-//! must produce the same event count *and* the same replay hash, or the
-//! engines have diverged and the throughput comparison is meaningless.
+//! Best-of-N: shared CI boxes show ±30% run-to-run wall clock noise,
+//! which a single pass cannot distinguish from a real regression. The
+//! workload runs `MLTCP_PERF_PASSES` (default 3) passes and the minimum
+//! wall time is the reported number (the minimum estimates the
+//! noise-free cost; means smear the noise back in). Every pass must
+//! produce the same event count *and* the same replay hash, or the
+//! passes did not measure the same run.
 //!
 //! ```text
 //! cargo run --release -p mltcp-bench --bin perf_report
@@ -27,17 +22,18 @@
 //!
 //! Knobs: `MLTCP_SCALE` / `MLTCP_ITERS` / `MLTCP_SEED` as in every other
 //! figure binary, so the measured workload is reproducible. Set
-//! `MLTCP_PERF_CHECK=<frac>` (e.g. `0.05`) to *check* the measured
-//! wheel-engine throughput against the committed `BENCH_PR5.json`
-//! instead of rewriting it — the binary exits non-zero when throughput
-//! fell more than that fraction below the baseline.
+//! `MLTCP_PERF_CHECK=<frac>` (in `[0, 1)`, e.g. `0.05`) to *check* the
+//! measurement against the committed `BENCH_PR5.json` instead of
+//! rewriting it: the event count and replay hash must equal the
+//! committed ones exactly, and throughput may fall at most that
+//! fraction below the committed `events_per_sec`. A malformed knob
+//! panics instead of falling back to its default.
 
 use mltcp_bench::experiments::{
     gpt2_jobs, mix_deadline, scenario_replay_hash, uniform_builder, uniform_scenario,
 };
 use mltcp_bench::json::Json;
-use mltcp_bench::{iters_or, scale, seed};
-use mltcp_netsim::event::EngineKind;
+use mltcp_bench::{env_var, iters_or, scale, seed};
 use mltcp_telemetry::RingRecorder;
 use mltcp_workload::scenario::{CongestionSpec, FnSpec, Scenario};
 use mltcp_workload::SweepRunner;
@@ -47,22 +43,21 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// The canonical single-simulator workload: 6 GPT-2 jobs sharing the
-/// dumbbell under MLTCP-Reno, pinned to an explicit event engine.
-fn build_workload(scale: f64, iters: u32, sd: u64, engine: EngineKind) -> Scenario {
+/// dumbbell under MLTCP-Reno.
+fn build_workload(scale: f64, iters: u32, sd: u64) -> Scenario {
     uniform_builder(
         sd,
         gpt2_jobs(scale, iters, 6),
         CongestionSpec::MltcpReno(FnSpec::Paper),
     )
-    .engine(engine)
     .build()
 }
 
 /// One timed pass of the canonical workload. Telemetry stays detached —
 /// this is the tracked baseline path. Returns (events, wall seconds,
 /// replay hash).
-fn single_pass(scale: f64, iters: u32, sd: u64, engine: EngineKind) -> (u64, f64, u64) {
-    let mut sc = build_workload(scale, iters, sd, engine);
+fn single_pass(scale: f64, iters: u32, sd: u64) -> (u64, f64, u64) {
+    let mut sc = build_workload(scale, iters, sd);
     let t0 = Instant::now();
     sc.run(mix_deadline(scale, iters));
     let wall = t0.elapsed().as_secs_f64();
@@ -70,7 +65,7 @@ fn single_pass(scale: f64, iters: u32, sd: u64, engine: EngineKind) -> (u64, f64
     (sc.sim.stats().events, wall, scenario_replay_hash(&sc))
 }
 
-/// Best-of-N result for one engine.
+/// Best-of-N result.
 struct Measured {
     events: u64,
     best_wall: f64,
@@ -83,51 +78,39 @@ impl Measured {
     }
 }
 
-/// Runs `passes` interleaved heap/wheel passes and keeps the best wall
-/// time per engine. Panics if any pass disagrees on event count or
-/// replay hash — cross-engine equivalence is a precondition for the
-/// throughput numbers meaning anything.
-fn engine_duel(scale: f64, iters: u32, sd: u64, passes: usize) -> (Measured, Measured) {
-    let mut best = [f64::INFINITY; 2];
-    let mut baseline: Option<(u64, u64)> = None;
-    let engines = [EngineKind::Heap, EngineKind::Wheel];
+/// Runs `passes` passes and keeps the best wall time. Panics if any
+/// pass disagrees with the first on event count or replay hash.
+fn best_of(scale: f64, iters: u32, sd: u64, passes: usize) -> Measured {
+    let mut best: Option<Measured> = None;
     for pass in 0..passes {
-        for (slot, &engine) in engines.iter().enumerate() {
-            let (events, wall, hash) = single_pass(scale, iters, sd, engine);
-            match baseline {
-                None => baseline = Some((events, hash)),
-                Some((ev0, h0)) => {
-                    assert_eq!(
-                        events, ev0,
-                        "{engine:?} pass {pass}: event count diverged between engines/passes"
-                    );
-                    assert_eq!(
-                        hash, h0,
-                        "{engine:?} pass {pass}: replay hash diverged — engines are not equivalent"
-                    );
-                }
+        let (events, wall, hash) = single_pass(scale, iters, sd);
+        println!(
+            "  pass {pass}: {events} events in {wall:.3}s  ->  {:.3} M events/sec",
+            events as f64 / wall.max(1e-9) / 1e6
+        );
+        match best.as_mut() {
+            None => {
+                best = Some(Measured {
+                    events,
+                    best_wall: wall,
+                    hash,
+                })
             }
-            best[slot] = best[slot].min(wall);
-            println!(
-                "  pass {pass} {engine:<5?}: {events} events in {wall:.3}s  ->  {:.3} M events/sec",
-                events as f64 / wall.max(1e-9) / 1e6
-            );
+            Some(m) => {
+                assert_eq!(events, m.events, "pass {pass}: event count diverged");
+                assert_eq!(hash, m.hash, "pass {pass}: replay hash diverged");
+                m.best_wall = m.best_wall.min(wall);
+            }
         }
     }
-    let (events, hash) = baseline.expect("at least one pass");
-    let m = |slot: usize| Measured {
-        events,
-        best_wall: best[slot],
-        hash,
-    };
-    (m(0), m(1))
+    best.expect("at least one pass")
 }
 
 /// The same workload with a ring-buffer telemetry sink attached — the
 /// enabled-path overhead measurement. Returns (events, wall seconds,
 /// telemetry events recorded).
 fn ring_run(scale: f64, iters: u32, sd: u64) -> (u64, f64, u64) {
-    let mut sc = build_workload(scale, iters, sd, EngineKind::Wheel);
+    let mut sc = build_workload(scale, iters, sd);
     sc.set_telemetry(Box::new(RingRecorder::new(1 << 16)));
     let t0 = Instant::now();
     sc.run(mix_deadline(scale, iters));
@@ -151,7 +134,7 @@ fn ring_run(scale: f64, iters: u32, sd: u64) -> (u64, f64, u64) {
 /// The same workload under the sim-time profiler; returns the per-kind
 /// wall-clock attribution.
 fn profiled_run(scale: f64, iters: u32, sd: u64) -> mltcp_telemetry::ProfileSnapshot {
-    let mut sc = build_workload(scale, iters, sd, EngineKind::Wheel);
+    let mut sc = build_workload(scale, iters, sd);
     sc.sim.enable_profiler();
     sc.run(mix_deadline(scale, iters));
     assert!(sc.all_finished(), "profiled perf workload did not finish");
@@ -180,6 +163,13 @@ fn json_number(text: &str, key: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
+/// First string value following `key` in a committed report.
+fn json_string<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let rest = &text[text.find(key)? + key.len()..];
+    let tail = &rest[rest.find('"')? + 1..];
+    Some(&tail[..tail.find('"')?])
+}
+
 /// Runs the multi-seed sweep on `threads` workers and returns
 /// (total events, wall seconds).
 fn sweep_run(scale: f64, iters: u32, seeds: &[u64], threads: usize) -> (u64, f64) {
@@ -203,41 +193,34 @@ fn sweep_run(scale: f64, iters: u32, seeds: &[u64], threads: usize) -> (u64, f64
 fn main() {
     let scale = scale();
     let iters = iters_or(30);
-    let passes: usize = std::env::var("MLTCP_PERF_PASSES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1);
+    let passes = env_var("MLTCP_PERF_PASSES", |&n: &usize| n >= 1).unwrap_or(3);
+    let check = env_var("MLTCP_PERF_CHECK", |f: &f64| (0.0..1.0).contains(f));
     let cores = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1);
 
-    // Warm up (page in code + allocator) on both engines, then duel.
-    let _ = single_pass(scale, iters.min(5), seed(), EngineKind::Heap);
-    let _ = single_pass(scale, iters.min(5), seed(), EngineKind::Wheel);
-    println!("engine duel (best of {passes} interleaved passes each):");
-    let (heap, wheel) = engine_duel(scale, iters, seed(), passes);
-    let wheel_eps = wheel.events_per_sec();
-    let heap_eps = heap.events_per_sec();
+    // Warm up (page in code + allocator), then measure.
+    let _ = single_pass(scale, iters.min(5), seed());
+    println!("single simulator (best of {passes} passes):");
+    let measured = best_of(scale, iters, seed(), passes);
+    let eps = measured.events_per_sec();
     println!(
-        "single simulator : wheel {:.3} M events/sec, heap {:.3} M  ->  wheel/heap {:.2}x  (replay {:016x})",
-        wheel_eps / 1e6,
-        heap_eps / 1e6,
-        wheel_eps / heap_eps.max(1e-9),
-        wheel.hash
+        "single simulator : {:.3} M events/sec  (replay {:016x})",
+        eps / 1e6,
+        measured.hash
     );
 
     // Telemetry-enabled overhead: the same workload with a ring sink.
     let (ring_events, ring_wall, recorded) = ring_run(scale, iters, seed());
     assert_eq!(
-        wheel.events, ring_events,
+        measured.events, ring_events,
         "a telemetry sink changed the event count — the observe-only contract is broken"
     );
     let ring_eps = ring_events as f64 / ring_wall.max(1e-9);
     println!(
         "with ring sink   : {recorded} telemetry events recorded  ->  {:.3} M events/sec ({:+.1}% vs disabled)",
         ring_eps / 1e6,
-        (ring_eps / wheel_eps - 1.0) * 100.0
+        (ring_eps / eps - 1.0) * 100.0
     );
 
     // Wall-clock attribution by event kind.
@@ -260,42 +243,56 @@ fn main() {
 
     // Regression-check mode: compare against the committed baseline and
     // leave it untouched.
-    if let Ok(frac) = std::env::var("MLTCP_PERF_CHECK") {
-        let frac: f64 = frac.parse().unwrap_or(0.05);
+    if let Some(frac) = check {
         let path = bench_path();
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("MLTCP_PERF_CHECK: cannot read {}: {e}", path.display()));
+        for (key, value) in [
+            ("\"scale\"", scale),
+            ("\"iters\"", f64::from(iters)),
+            ("\"seed\"", seed() as f64),
+        ] {
+            assert_eq!(
+                json_number(&text, key),
+                Some(value),
+                "MLTCP_PERF_CHECK: the baseline was measured at a different {key}"
+            );
+        }
+        // Exact and machine-speed-invariant: every pass simulated the
+        // committed run, event for event.
+        let events = json_number(&text, "\"events\"").expect("baseline has single_thread.events");
+        let hash =
+            json_string(&text, "\"replay_hash\"").expect("baseline has single_thread.replay_hash");
+        println!(
+            "perf check       : {} events, replay {:016x} vs committed {events} events, replay {hash}",
+            measured.events, measured.hash
+        );
+        assert_eq!(
+            measured.events as f64, events,
+            "the event count differs from the committed baseline — the simulation changed"
+        );
+        assert_eq!(
+            format!("{:016x}", measured.hash),
+            hash,
+            "the replay hash differs from the committed baseline — the simulation changed"
+        );
+        // The absolute floor is machine-speed-dependent, so it stays
+        // loose.
         let baseline = baseline_events_per_sec(&text)
             .expect("BENCH_PR5.json has single_thread.events_per_sec");
         let floor = baseline * (1.0 - frac);
         println!(
             "perf check       : measured {:.3} M events/sec vs baseline {:.3} M (floor {:.3} M at -{:.0}%)",
-            wheel_eps / 1e6,
+            eps / 1e6,
             baseline / 1e6,
             floor / 1e6,
             frac * 100.0
         );
         assert!(
-            wheel_eps >= floor,
+            eps >= floor,
             "disabled-telemetry throughput regressed more than {:.0}% below the committed baseline",
             frac * 100.0
         );
-        // The absolute floor is machine-speed-dependent, so it must stay
-        // loose; the wheel/heap ratio — both engines measured interleaved
-        // in the same window — is speed-invariant and pins the engine
-        // overhaul's win tightly.
-        if let Some(committed) = json_number(&text, "\"wheel_vs_heap\"") {
-            let measured = wheel_eps / heap_eps.max(1e-9);
-            let ratio_floor = committed - 0.15;
-            println!(
-                "perf check       : wheel/heap {measured:.2}x vs committed {committed:.2}x (floor {ratio_floor:.2}x)"
-            );
-            assert!(
-                measured >= ratio_floor,
-                "the wheel engine's advantage over the heap collapsed \
-                 ({measured:.2}x measured vs {committed:.2}x committed)"
-            );
-        }
         println!("perf check       : OK (baseline left untouched)");
         return;
     }
@@ -315,8 +312,7 @@ fn main() {
         seeds.len()
     );
 
-    // The PR1 heap-only baseline this PR is measured against, when the
-    // committed file is still present.
+    // The PR1 baseline, when the committed file is still present.
     let pr1_baseline = std::fs::read_to_string(pr1_path())
         .ok()
         .and_then(|t| baseline_events_per_sec(&t));
@@ -339,29 +335,18 @@ fn main() {
                     "scenario",
                     Json::str("6 GPT-2 jobs, MLTCP-Reno, shared dumbbell"),
                 ),
-                ("engine", Json::str("wheel")),
-                ("events", Json::Num(wheel.events as f64)),
-                ("wall_secs", Json::Num(wheel.best_wall)),
-                ("events_per_sec", Json::Num(wheel_eps)),
-                ("replay_hash", Json::str(format!("{:016x}", wheel.hash))),
+                ("events", Json::Num(measured.events as f64)),
+                ("wall_secs", Json::Num(measured.best_wall)),
+                ("events_per_sec", Json::Num(eps)),
+                ("replay_hash", Json::str(format!("{:016x}", measured.hash))),
             ]),
         ),
-        (
-            "heap_engine",
-            Json::obj([
-                ("events", Json::Num(heap.events as f64)),
-                ("wall_secs", Json::Num(heap.best_wall)),
-                ("events_per_sec", Json::Num(heap_eps)),
-                ("replay_hash", Json::str(format!("{:016x}", heap.hash))),
-            ]),
-        ),
-        ("wheel_vs_heap", Json::Num(wheel_eps / heap_eps.max(1e-9))),
         (
             "vs_pr1",
             match pr1_baseline {
                 Some(b) => Json::obj([
                     ("baseline_events_per_sec", Json::Num(b)),
-                    ("ratio", Json::Num(wheel_eps / b.max(1e-9))),
+                    ("ratio", Json::Num(eps / b.max(1e-9))),
                 ]),
                 None => Json::str("BENCH_PR1.json not found"),
             },
@@ -374,10 +359,7 @@ fn main() {
                 ("wall_secs", Json::Num(ring_wall)),
                 ("events_per_sec", Json::Num(ring_eps)),
                 ("telemetry_events_recorded", Json::Num(recorded as f64)),
-                (
-                    "overhead_frac",
-                    Json::Num(1.0 - ring_eps / wheel_eps.max(1e-9)),
-                ),
+                ("overhead_frac", Json::Num(1.0 - ring_eps / eps.max(1e-9))),
             ]),
         ),
         (
@@ -426,13 +408,9 @@ fn main() {
                      MLTCP trackers, and job drivers",
                 ),
                 Json::str(
-                    "single-thread numbers are best-of-N interleaved passes \
-                     per engine; shared runners show +/-30% wall-clock noise \
-                     on single passes",
-                ),
-                Json::str(
-                    "heap and wheel engines must agree on event count and \
-                     replay hash every pass; the duel enforces it",
+                    "single-thread numbers are best-of-N passes; shared \
+                     runners show +/-30% wall-clock noise on single passes; \
+                     every pass must agree on event count and replay hash",
                 ),
                 Json::str(
                     "the sweep speedup is bounded by the machine's core \

@@ -20,6 +20,9 @@
 //! * `MLTCP_SEED` — base RNG seed (default 42).
 //! * `MLTCP_ITERS` — training iterations per job (default figure-specific).
 //!
+//! A knob that is set but malformed or out of range panics, naming the
+//! variable (see [`parse_var`]).
+//!
 //! Every binary also honors `--trace out.jsonl` (or `MLTCP_TRACE`):
 //! each scenario the binary runs streams its telemetry to
 //! `out-<label>.jsonl`, readable with the `trace_inspect` binary.
@@ -38,29 +41,45 @@ use mltcp_workload::scenario::Scenario;
 use std::io::Write;
 use std::path::PathBuf;
 
-/// Reads the global time scale (`MLTCP_SCALE`, default 0.01).
+/// Parses the raw value of environment variable `name`: `None` (unset)
+/// stays `None`, and a set value must parse as `T` and pass `valid`.
+///
+/// # Panics
+/// Panics, naming the variable and its value, when a set value is
+/// malformed or out of range: a typo must not silently fall back to a
+/// default and produce numbers for a different configuration.
+pub fn parse_var<T: std::str::FromStr>(
+    name: &str,
+    raw: Option<&str>,
+    valid: impl Fn(&T) -> bool,
+) -> Option<T> {
+    let raw = raw?;
+    match raw.parse::<T>() {
+        Ok(v) if valid(&v) => Some(v),
+        _ => panic!("invalid {name}={raw:?}"),
+    }
+}
+
+/// [`parse_var`] on the process environment.
+pub fn env_var<T: std::str::FromStr>(name: &str, valid: impl Fn(&T) -> bool) -> Option<T> {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_var(name, raw.as_deref(), valid)
+}
+
+/// Reads the global time scale (`MLTCP_SCALE`, a positive finite
+/// number, default 0.01).
 pub fn scale() -> f64 {
-    std::env::var("MLTCP_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s: &f64| s > 0.0)
-        .unwrap_or(0.01)
+    env_var("MLTCP_SCALE", |&s: &f64| s > 0.0 && s.is_finite()).unwrap_or(0.01)
 }
 
 /// Reads the base seed (`MLTCP_SEED`, default 42).
 pub fn seed() -> u64 {
-    std::env::var("MLTCP_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
+    env_var("MLTCP_SEED", |_| true).unwrap_or(42)
 }
 
-/// Reads the iteration count override (`MLTCP_ITERS`).
+/// Reads the iteration count override (`MLTCP_ITERS`, at least 1).
 pub fn iters_or(default: u32) -> u32 {
-    std::env::var("MLTCP_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    env_var("MLTCP_ITERS", |&n: &u32| n > 0).unwrap_or(default)
 }
 
 /// A generous simulated-time deadline for a scenario expected to span
@@ -305,6 +324,32 @@ mod tests {
     fn env_knob_defaults() {
         assert!(scale() > 0.0);
         assert!(iters_or(7) >= 1);
+    }
+
+    fn positive(s: &f64) -> bool {
+        *s > 0.0 && s.is_finite()
+    }
+
+    #[test]
+    fn parse_var_keeps_unset_and_accepts_valid_values() {
+        assert_eq!(parse_var::<f64>("MLTCP_SCALE", None, positive), None);
+        assert_eq!(
+            parse_var("MLTCP_SCALE", Some("0.002"), positive),
+            Some(0.002)
+        );
+        assert_eq!(parse_var("MLTCP_SEED", Some("7"), |_: &u64| true), Some(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid MLTCP_SCALE=\"-1\"")]
+    fn parse_var_rejects_out_of_range() {
+        parse_var("MLTCP_SCALE", Some("-1"), positive);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid MLTCP_ITERS=\"ten\"")]
+    fn parse_var_rejects_garbage() {
+        parse_var("MLTCP_ITERS", Some("ten"), |&n: &u32| n > 0);
     }
 
     #[test]

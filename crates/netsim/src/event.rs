@@ -1,63 +1,35 @@
 //! The deterministic event engine.
 //!
-//! Logically, the queue is a total order over pending events by
-//! `(time, sequence)`: events scheduled for the same instant fire in
-//! insertion order, which makes the whole simulation reproducible
-//! bit-for-bit regardless of the engine's internals.
+//! The queue is a total order over pending events by `(time, sequence)`:
+//! events scheduled for the same instant fire in insertion order, which
+//! makes the whole simulation reproducible bit-for-bit.
 //!
-//! Two engines implement that contract (selected by [`EngineKind`]):
+//! [`EventQueue`] keeps its events in two parts, and every pop takes the
+//! `(time, seq)`-minimum of the two heads:
 //!
-//! * **Heap** — a plain binary min-heap, the reference implementation.
-//!   Every operation is `O(log n)` in the standing event population,
-//!   which on packet workloads is dominated by in-flight deliveries and
-//!   lazily-cancelled RTO timers.
-//! * **Wheel** — a timing wheel plus per-link *rails*, the default. The
-//!   wheel gives `O(1)` inserts for timers/messages/faults; the rails
-//!   exploit link serialization order so per-packet events never touch a
-//!   heap at all (see below). Pop order is identical to the heap engine:
-//!   both consume the same sequence counter at the same call sites, and
-//!   the global pop takes the `(time, seq)`-minimum across sub-queues.
-//!   `engine_equivalence` proptests pin this.
+//! * **Link rails** hold the per-packet events. A directed channel
+//!   serializes one packet at a time, so it has **at most one** pending
+//!   `ChannelIdle` (the departure of the packet being serialized), and
+//!   its deliveries leave in FIFO order: each arrival is `done + delay`,
+//!   where `done` is non-decreasing and `delay` is a link constant. That
+//!   holds under brownouts (which only stretch `done`) and under link
+//!   flaps (which drop, never reorder); `Channel::serialize_spans`
+//!   states it at the source. Each channel's rail is a one-slot
+//!   departure plus a `VecDeque` of deliveries with their payload
+//!   inline. One more rail carries host-local sends ([`LinkId::NONE`]),
+//!   which are always scheduled at the current time and so also arrive
+//!   in order. A small index-min-heap over rails — one entry per channel
+//!   with pending events, topology-sized rather than event-sized —
+//!   yields the earliest rail head, so the per-packet cost is two deque
+//!   operations and a near-top fixup instead of full-depth heap sifts.
+//! * **One binary heap** holds timers, agent messages and faults, as
+//!   compact entries of at most 40 bytes (`event_size_stays_small`):
+//!   sifts copy whole entries, so their size multiplies heap traffic.
 //!
-//! ## The timing wheel
-//!
-//! Near-future events land in one of [`WHEEL_SLOTS`] buckets of
-//! `2^WHEEL_SHIFT` ns each (4.096 µs — comfortably below the 50 µs RTO
-//! floor, so retransmission timers spread across buckets instead of
-//! piling into one). Insert is a `Vec::push`. A cursor walks the
-//! occupancy bitmap; the current bucket's events sit in a small `active`
-//! heap that restores exact `(time, seq)` order within the bucket.
-//! Events beyond the ~8.4 ms horizon go to an `overflow` heap that is
-//! drained bucket-wise as the cursor reaches them — far-future faults
-//! and coarse compute timers are rare, so the overflow heap stays tiny.
-//!
-//! ## Link rails (serialization coalescing)
-//!
-//! A directed channel serializes one packet at a time, so per link there
-//! is **at most one** pending `ChannelIdle` (the departure of the packet
-//! being serialized), and deliveries leave the link in FIFO order: each
-//! arrival is `done + delay` where `done` is non-decreasing and `delay`
-//! is a link constant — true under brownouts (which only stretch `done`)
-//! and under link flaps (which drop, never reorder). Each link therefore
-//! keeps a one-slot departure and a `VecDeque` of in-flight deliveries;
-//! a tiny index-min-heap over links (dozens of entries, not millions of
-//! events) yields the earliest rail head. The common per-packet cost is
-//! two deque ops and a near-top heap fixup instead of four full-depth
-//! binary-heap sifts. Events that do not fit the invariant (a second
-//! pending departure, an out-of-order delivery — possible only through
-//! the generic [`EventQueue::schedule`] API, never from the simulator)
-//! fall back to the wheel, so the rails are a pure optimization, not a
-//! correctness assumption.
-//!
-//! ## Event size
-//!
-//! Heap sifts copy whole [`Event`]s, so [`EventKind::Deliver`] boxes its
-//! payload to pin `size_of::<Event>()` at 40 bytes (test-enforced by
-//! `event_size_stays_small`); the queue recycles the boxes through an
-//! internal free list so steady-state delivery costs no allocation. The
-//! rails store the
-//! [`Delivery`] payload inline in their deques — deque pushes don't
-//! sift, so the box round-trip is skipped entirely on that path.
+//! Both rail invariants — one pending departure per channel, and
+//! strictly increasing `(time, seq)` along each rail — are asserted on
+//! every schedule, release builds included. A violation is a simulator
+//! bug; letting it through would silently reorder events.
 //!
 //! ## Capacity release
 //!
@@ -73,7 +45,6 @@ use crate::packet::Packet;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::OnceLock;
 
 /// A packet in flight: the payload of [`EventKind::Deliver`].
 ///
@@ -98,9 +69,8 @@ pub struct Delivery {
 /// What happens when an event fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
-    /// A packet finishes propagation and arrives (boxed to keep
-    /// [`Event`] small; the queue pools and reuses the allocations).
-    Deliver(Box<Delivery>),
+    /// A packet finishes propagation and arrives.
+    Deliver(Delivery),
     /// A directed channel finishes serializing its current packet and may
     /// start the next one.
     ChannelIdle {
@@ -144,261 +114,66 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert to get earliest-first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+/// Buffers at or below this capacity are kept across drains; bigger
+/// ones are released (see module docs, *Capacity release*).
+const KEEP_CAPACITY: usize = 64;
+
+/// The event kinds that live in the heap, without the fat `Deliver`
+/// variant.
+#[derive(Debug)]
+enum HeapKind {
+    Timer { agent: u32, token: u64 },
+    Message { to: u32, from: u32, token: u64 },
+    Fault { index: u32 },
+}
+
+/// A heap entry, min-ordered by `(at, seq)`.
+#[derive(Debug)]
+struct HeapEntry {
+    at: SimTime,
+    seq: u64,
+    kind: HeapKind,
+}
+
+impl HeapEntry {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+
+    fn into_event(self) -> Event {
+        let kind = match self.kind {
+            HeapKind::Timer { agent, token } => EventKind::Timer { agent, token },
+            HeapKind::Message { to, from, token } => EventKind::Message { to, from, token },
+            HeapKind::Fault { index } => EventKind::Fault { index },
+        };
+        Event {
+            at: self.at,
+            seq: self.seq,
+            kind,
+        }
     }
 }
 
-impl PartialOrd for Event {
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert to get earliest-first.
+        other.key().cmp(&self.key())
+    }
+}
+
+impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// A popped event with its delivery payload inline — what
-/// [`EventQueue::pop_event`] returns to the simulator's dispatcher.
-///
-/// [`Event`] boxes deliveries so heap sifts stay cheap, but the
-/// *dispatcher* wants the payload by value (it consumes the delivery
-/// immediately). Returning this shape lets the wheel's rails hand their
-/// inline payload straight through — no box round-trip on the hottest
-/// path — while the heap engine unboxes once and recycles internally.
-#[derive(Debug)]
-pub struct Popped {
-    /// When the event fired.
-    pub at: SimTime,
-    /// Insertion sequence number.
-    pub seq: u64,
-    /// The action, with any delivery payload inline.
-    pub kind: PoppedKind,
-}
-
-/// [`EventKind`] with the `Deliver` payload held by value. See
-/// [`Popped`].
-#[derive(Debug)]
-pub enum PoppedKind {
-    /// A packet arrives (payload inline).
-    Deliver(Delivery),
-    /// A channel's serializer frees up.
-    ChannelIdle {
-        /// The channel that became idle.
-        link: LinkId,
-    },
-    /// An agent timer fires.
-    Timer {
-        /// Owning agent index.
-        agent: u32,
-        /// Opaque discriminator chosen by the agent.
-        token: u64,
-    },
-    /// An agent-to-agent message.
-    Message {
-        /// Receiving agent index.
-        to: u32,
-        /// Sending agent index.
-        from: u32,
-        /// Opaque payload.
-        token: u64,
-    },
-    /// An installed fault fires.
-    Fault {
-        /// Index into the simulator's installed-fault table.
-        index: u32,
-    },
-}
-
-/// Which event-engine implementation a queue uses. Both produce
-/// bit-for-bit identical pop orders; they differ only in cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The reference binary min-heap.
-    Heap,
-    /// Timing wheel + link rails (the default).
-    Wheel,
-}
-
-static ENGINE_FROM_ENV: OnceLock<EngineKind> = OnceLock::new();
-
-impl EngineKind {
-    /// The engine selected by the `MLTCP_ENGINE` environment variable
-    /// (`"heap"` or `"wheel"`), defaulting to [`EngineKind::Wheel`].
-    ///
-    /// The lookup is cached for the process lifetime, so every simulator
-    /// in a run — including sweep workers on other threads — sees the
-    /// same engine even if the environment is mutated mid-process.
-    pub fn from_env() -> Self {
-        *ENGINE_FROM_ENV.get_or_init(|| match std::env::var("MLTCP_ENGINE").as_deref() {
-            Ok("heap") => EngineKind::Heap,
-            _ => EngineKind::Wheel,
-        })
-    }
-
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Heap => "heap",
-            EngineKind::Wheel => "wheel",
-        }
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
     }
 }
 
-/// log2 of the wheel bucket width in nanoseconds (4.096 µs buckets).
-const WHEEL_SHIFT: u32 = 12;
-/// Number of wheel buckets (must be a power of two); with
-/// [`WHEEL_SHIFT`] this spans an ~8.4 ms horizon.
-const WHEEL_SLOTS: usize = 2048;
-const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
-const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
-
-/// Links with indices above this never get a rail (guards against
-/// pathological `LinkId`s through the generic API allocating huge
-/// tables; real topologies have at most thousands of channels).
-const MAX_RAIL_LINKS: usize = 1 << 20;
-
-/// Buffers at or below this capacity are kept across drains; bigger
-/// ones are released (see module docs, *Capacity release*).
-const KEEP_CAPACITY: usize = 64;
-
-/// The timing wheel: near-future buckets + an overflow heap, with the
-/// cursor bucket's events held in a small `active` heap.
-#[derive(Debug)]
-struct Wheel {
-    buckets: Vec<Vec<Event>>,
-    occupied: [u64; WHEEL_WORDS],
-    /// Events of the cursor bucket (and any insert at/behind the
-    /// cursor), in exact `(time, seq)` order.
-    active: BinaryHeap<Event>,
-    /// Events beyond the wheel horizon at insert time.
-    overflow: BinaryHeap<Event>,
-    /// Absolute bucket index (`at >> WHEEL_SHIFT`) the wheel is at.
-    cursor: u64,
-    len: usize,
-}
-
-impl Wheel {
-    fn new() -> Self {
-        Self {
-            buckets: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; WHEEL_WORDS],
-            active: BinaryHeap::new(),
-            overflow: BinaryHeap::new(),
-            cursor: 0,
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, e: Event) {
-        self.len += 1;
-        let b = e.at.as_nanos() >> WHEEL_SHIFT;
-        if b <= self.cursor {
-            self.active.push(e);
-        } else if b < self.cursor + WHEEL_SLOTS as u64 {
-            let s = (b & WHEEL_MASK) as usize;
-            self.buckets[s].push(e);
-            self.occupied[s >> 6] |= 1 << (s & 63);
-        } else {
-            self.overflow.push(e);
-        }
-    }
-
-    /// First occupied bucket strictly after the cursor (absolute index),
-    /// via a word-wise circular scan of the occupancy bitmap.
-    fn next_occupied(&self) -> Option<u64> {
-        let start = ((self.cursor + 1) & WHEEL_MASK) as usize;
-        let mut w = start >> 6;
-        let mut word = self.occupied[w] & (!0u64 << (start & 63));
-        // One extra iteration re-visits the first word's low bits, which
-        // sit a full lap away in circular order.
-        for _ in 0..=WHEEL_WORDS {
-            if word != 0 {
-                let slot = (w << 6) + word.trailing_zeros() as usize;
-                let dist = (slot + WHEEL_SLOTS - start) & (WHEEL_SLOTS - 1);
-                return Some(self.cursor + 1 + dist as u64);
-            }
-            w = (w + 1) % WHEEL_WORDS;
-            word = self.occupied[w];
-        }
-        None
-    }
-
-    /// Advances the cursor to the next non-empty bucket and refills
-    /// `active`; afterwards `active` is non-empty iff the wheel is.
-    ///
-    /// Invariant kept: `active` holds exactly the pending events with
-    /// bucket ≤ cursor, so its min is the wheel's global min.
-    fn ensure_active(&mut self) {
-        if !self.active.is_empty() || self.len == 0 {
-            return;
-        }
-        let target = match (
-            self.next_occupied(),
-            self.overflow.peek().map(|e| e.at.as_nanos() >> WHEEL_SHIFT),
-        ) {
-            (Some(w), Some(o)) => w.min(o),
-            (Some(w), None) => w,
-            (None, Some(o)) => o,
-            (None, None) => unreachable!("wheel len > 0 with no pending bucket"),
-        };
-        self.cursor = target;
-        let s = (target & WHEEL_MASK) as usize;
-        if self.occupied[s >> 6] & (1 << (s & 63)) != 0 {
-            self.occupied[s >> 6] &= !(1 << (s & 63));
-            for e in self.buckets[s].drain(..) {
-                self.active.push(e);
-            }
-        }
-        while let Some(e) = self.overflow.peek() {
-            if e.at.as_nanos() >> WHEEL_SHIFT > self.cursor {
-                break;
-            }
-            let e = self.overflow.pop().expect("peeked");
-            self.active.push(e);
-        }
-        debug_assert!(!self.active.is_empty());
-    }
-
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.ensure_active();
-        self.active.peek().map(|e| (e.at, e.seq))
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        self.ensure_active();
-        let e = self.active.pop()?;
-        self.len -= 1;
-        Some(e)
-    }
-
-    fn capacity(&self) -> usize {
-        self.active.capacity()
-            + self.overflow.capacity()
-            + self
-                .buckets
-                .iter()
-                .map(Vec::capacity)
-                .filter(|&c| c > KEEP_CAPACITY)
-                .sum::<usize>()
-    }
-
-    fn release(&mut self) {
-        if self.active.capacity() > KEEP_CAPACITY {
-            self.active.shrink_to_fit();
-        }
-        if self.overflow.capacity() > KEEP_CAPACITY {
-            self.overflow.shrink_to_fit();
-        }
-        for b in &mut self.buckets {
-            if b.capacity() > KEEP_CAPACITY {
-                b.shrink_to_fit();
-            }
-        }
-    }
-}
+impl Eq for HeapEntry {}
 
 /// An in-flight delivery riding a link rail (payload inline: deque
 /// pushes don't sift, so fat entries cost one copy each way).
@@ -427,24 +202,24 @@ impl Rail {
     }
 }
 
+/// The rail index of `link`: channel `i` rides rail `i + 1`, and
+/// host-local sends ([`LinkId::NONE`], `u32::MAX`) wrap to rail 0.
+fn rail_of(link: LinkId) -> usize {
+    link.0.wrapping_add(1) as usize
+}
+
 /// Sentinel for "not in the rail index heap".
 const ABSENT: u32 = u32::MAX;
 
-/// What a rail pop yields.
-enum RailItem {
-    Departure(LinkId),
-    Delivery(Delivery),
-}
-
 /// An index-min-heap entry: a rail's head `(time, seq)` key, cached,
-/// plus the link it belongs to. Caching the key keeps sift comparisons
+/// plus the rail it belongs to. Caching the key keeps sift comparisons
 /// inside the heap array instead of chasing into `rails` twice per
 /// comparison.
 #[derive(Debug, Clone, Copy)]
 struct RailEntry {
     at: SimTime,
     seq: u64,
-    link: u32,
+    rail: u32,
 }
 
 impl RailEntry {
@@ -455,29 +230,28 @@ impl RailEntry {
 }
 
 /// Per-link rails under an index-min-heap keyed by each rail's head
-/// `(time, seq)`. The heap has one entry per *link with pending events*
-/// — topology-sized, not event-population-sized.
+/// `(time, seq)`.
 #[derive(Debug, Default)]
 struct Rails {
     rails: Vec<Rail>,
     heap: Vec<RailEntry>,
-    /// `pos[link] == ABSENT` when the link has no pending events.
+    /// `pos[rail] == ABSENT` when the rail has no pending events.
     pos: Vec<u32>,
 }
 
 impl Rails {
-    fn ensure(&mut self, li: usize) {
-        if li >= self.rails.len() {
-            self.rails.resize_with(li + 1, Rail::default);
-            self.pos.resize(li + 1, ABSENT);
+    fn ensure(&mut self, ri: usize) {
+        if ri >= self.rails.len() {
+            self.rails.resize_with(ri + 1, Rail::default);
+            self.pos.resize(ri + 1, ABSENT);
         }
     }
 
     #[inline]
     fn swap(&mut self, a: usize, b: usize) {
         self.heap.swap(a, b);
-        self.pos[self.heap[a].link as usize] = a as u32;
-        self.pos[self.heap[b].link as usize] = b as u32;
+        self.pos[self.heap[a].rail as usize] = a as u32;
+        self.pos[self.heap[b].rail as usize] = b as u32;
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -508,19 +282,19 @@ impl Rails {
         }
     }
 
-    /// Re-positions link `li` in the index heap after its head changed,
+    /// Re-positions rail `ri` in the index heap after its head changed,
     /// refreshing the cached key.
-    fn reindex(&mut self, li: usize) {
-        let head = self.rails[li].head_key();
-        match (self.pos[li], head) {
+    fn reindex(&mut self, ri: usize) {
+        let head = self.rails[ri].head_key();
+        match (self.pos[ri], head) {
             (ABSENT, Some((at, seq))) => {
                 let i = self.heap.len();
                 self.heap.push(RailEntry {
                     at,
                     seq,
-                    link: li as u32,
+                    rail: ri as u32,
                 });
-                self.pos[li] = i as u32;
+                self.pos[ri] = i as u32;
                 self.sift_up(i);
             }
             (ABSENT, None) => {}
@@ -538,7 +312,7 @@ impl Rails {
                     self.swap(p, last);
                 }
                 self.heap.pop();
-                self.pos[li] = ABSENT;
+                self.pos[ri] = ABSENT;
                 if p < self.heap.len() {
                     self.sift_up(p);
                     self.sift_down(p);
@@ -547,36 +321,37 @@ impl Rails {
         }
     }
 
-    /// Whether the departure slot of `li` is free (rails hold at most
-    /// one pending departure per link).
-    fn departure_slot_free(&self, li: usize) -> bool {
-        self.rails.get(li).is_none_or(|r| r.departure.is_none())
-    }
-
-    /// Whether `(at, seq)` extends link `li`'s delivery FIFO in order.
-    fn delivery_in_order(&self, li: usize, at: SimTime, seq: u64) -> bool {
-        match self.rails.get(li).and_then(|r| r.deliveries.back()) {
-            Some(b) => (b.at, b.seq) < (at, seq),
-            None => true,
+    fn push_departure(&mut self, link: LinkId, at: SimTime, seq: u64) {
+        let ri = rail_of(link);
+        self.ensure(ri);
+        let rail = &mut self.rails[ri];
+        assert!(
+            rail.departure.is_none(),
+            "second pending ChannelIdle on {link:?}: a channel serializes one packet at a time"
+        );
+        let old = rail.head_key();
+        rail.departure = Some((at, seq));
+        if old != rail.head_key() {
+            self.reindex(ri);
         }
     }
 
-    fn push_departure(&mut self, li: usize, at: SimTime, seq: u64) {
-        let old = self.rails[li].head_key();
-        debug_assert!(self.rails[li].departure.is_none());
-        self.rails[li].departure = Some((at, seq));
-        if old != self.rails[li].head_key() {
-            self.reindex(li);
+    fn push_delivery(&mut self, at: SimTime, seq: u64, d: Delivery) {
+        let ri = rail_of(d.via);
+        self.ensure(ri);
+        let rail = &mut self.rails[ri];
+        if let Some(tail) = rail.deliveries.back() {
+            assert!(
+                (tail.at, tail.seq) < (at, seq),
+                "out-of-order delivery on {:?}: arrives at {at:?}, before the rail tail at {:?}",
+                d.via,
+                tail.at
+            );
         }
-    }
-
-    fn push_delivery(&mut self, li: usize, at: SimTime, seq: u64, d: Delivery) {
-        let old = self.rails[li].head_key();
-        self.rails[li]
-            .deliveries
-            .push_back(RailDelivery { at, seq, d });
-        if old != self.rails[li].head_key() {
-            self.reindex(li);
+        let old = rail.head_key();
+        rail.deliveries.push_back(RailDelivery { at, seq, d });
+        if old != rail.head_key() {
+            self.reindex(ri);
         }
     }
 
@@ -585,25 +360,33 @@ impl Rails {
         self.heap.first().map(RailEntry::key)
     }
 
-    fn pop_min(&mut self) -> Option<(SimTime, u64, RailItem)> {
-        let li = self.heap.first()?.link;
-        let liu = li as usize;
-        let rail = &mut self.rails[liu];
+    /// Pops the earliest rail event; the caller has established that
+    /// one exists.
+    fn pop_min(&mut self) -> Event {
+        let ri = self.heap[0].rail as usize;
+        let rail = &mut self.rails[ri];
         let take_departure = match (rail.departure, rail.deliveries.front()) {
             (Some(a), Some(b)) => a < (b.at, b.seq),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => unreachable!("empty rail in heap"),
+            (departure, _) => departure.is_some(),
         };
-        let out = if take_departure {
+        let ev = if take_departure {
             let (at, seq) = rail.departure.take().expect("checked");
-            (at, seq, RailItem::Departure(LinkId(li)))
+            let link = LinkId((ri as u32).wrapping_sub(1));
+            Event {
+                at,
+                seq,
+                kind: EventKind::ChannelIdle { link },
+            }
         } else {
-            let r = rail.deliveries.pop_front().expect("checked");
-            (r.at, r.seq, RailItem::Delivery(r.d))
+            let r = rail.deliveries.pop_front().expect("indexed rail is empty");
+            Event {
+                at: r.at,
+                seq: r.seq,
+                kind: EventKind::Deliver(r.d),
+            }
         };
-        self.reindex(liu);
-        Some(out)
+        self.reindex(ri);
+        ev
     }
 
     fn capacity(&self) -> usize {
@@ -623,296 +406,82 @@ impl Rails {
     }
 }
 
-/// The simulation's event queue. See the module docs for the two
-/// engines and their shared determinism contract.
-#[derive(Debug)]
+/// The simulation's event queue: link rails plus one binary heap, under
+/// one `(time, seq)` order (see the module docs).
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    engine: EngineKind,
     next_seq: u64,
     len: usize,
-    /// The entire queue under [`EngineKind::Heap`]; unused by the wheel
-    /// engine (which has its own overflow heap inside [`Wheel`]).
-    heap: BinaryHeap<Event>,
-    wheel: Wheel,
+    heap: BinaryHeap<HeapEntry>,
     rails: Rails,
-    /// Recycled `Deliver` boxes; bounded by the peak number of in-flight
-    /// boxed deliveries.
-    #[allow(clippy::vec_box)]
-    pool: Vec<Box<Delivery>>,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl EventQueue {
-    /// An empty queue on the environment-selected engine
-    /// ([`EngineKind::from_env`]).
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_engine(EngineKind::from_env())
-    }
-
-    /// An empty queue on an explicit engine.
-    pub fn with_engine(engine: EngineKind) -> Self {
-        Self {
-            engine,
-            next_seq: 0,
-            len: 0,
-            heap: BinaryHeap::new(),
-            wheel: Wheel::new(),
-            rails: Rails::default(),
-            pool: Vec::new(),
-        }
-    }
-
-    /// The engine this queue runs on.
-    pub fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
-    fn bump(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    fn railable(link: LinkId) -> bool {
-        link != LinkId::NONE && link.index() < MAX_RAIL_LINKS
-    }
-
-    /// Wraps a delivery in a pooled box (allocating only when the pool
-    /// is dry).
-    fn boxed(&mut self, d: Delivery) -> Box<Delivery> {
-        match self.pool.pop() {
-            Some(mut b) => {
-                *b = d;
-                b
-            }
-            None => Box::new(d),
-        }
-    }
-
-    /// Converts a heap/wheel [`Event`] into a [`Popped`], returning any
-    /// delivery box to the pool.
-    fn unbox(&mut self, e: Event) -> Popped {
-        let kind = match e.kind {
-            EventKind::Deliver(b) => {
-                let d = *b;
-                self.pool.push(b);
-                PoppedKind::Deliver(d)
-            }
-            EventKind::ChannelIdle { link } => PoppedKind::ChannelIdle { link },
-            EventKind::Timer { agent, token } => PoppedKind::Timer { agent, token },
-            EventKind::Message { to, from, token } => PoppedKind::Message { to, from, token },
-            EventKind::Fault { index } => PoppedKind::Fault { index },
-        };
-        Popped {
-            at: e.at,
-            seq: e.seq,
-            kind,
-        }
+        Self::default()
     }
 
     /// Schedules `kind` to fire at `at`.
-    pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.bump();
-        self.len += 1;
-        match self.engine {
-            EngineKind::Heap => self.heap.push(Event { at, seq, kind }),
-            EngineKind::Wheel => match kind {
-                EventKind::ChannelIdle { link } if Self::railable(link) => {
-                    let li = link.index();
-                    self.rails.ensure(li);
-                    if self.rails.departure_slot_free(li) {
-                        self.rails.push_departure(li, at, seq);
-                    } else {
-                        let kind = EventKind::ChannelIdle { link };
-                        self.wheel.push(Event { at, seq, kind });
-                    }
-                }
-                EventKind::Deliver(b) if Self::railable(b.via) => {
-                    let li = b.via.index();
-                    self.rails.ensure(li);
-                    if self.rails.delivery_in_order(li, at, seq) {
-                        let d = *b;
-                        self.pool.push(b);
-                        self.rails.push_delivery(li, at, seq, d);
-                    } else {
-                        let kind = EventKind::Deliver(b);
-                        self.wheel.push(Event { at, seq, kind });
-                    }
-                }
-                other => self.wheel.push(Event {
-                    at,
-                    seq,
-                    kind: other,
-                }),
-            },
-        }
-    }
-
-    /// Schedules a packet delivery — the per-packet hot path. On the
-    /// wheel engine an in-order link delivery rides the rail with its
-    /// payload inline, skipping the box entirely.
-    pub fn schedule_delivery(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        via: LinkId,
-        epoch: u32,
-        pkt: Packet,
-    ) {
-        let seq = self.bump();
-        self.len += 1;
-        let d = Delivery {
-            node,
-            via,
-            epoch,
-            pkt,
-        };
-        if self.engine == EngineKind::Wheel && Self::railable(via) {
-            let li = via.index();
-            self.rails.ensure(li);
-            if self.rails.delivery_in_order(li, at, seq) {
-                self.rails.push_delivery(li, at, seq, d);
-                return;
-            }
-        }
-        let b = self.boxed(d);
-        let kind = EventKind::Deliver(b);
-        match self.engine {
-            EngineKind::Heap => self.heap.push(Event { at, seq, kind }),
-            EngineKind::Wheel => self.wheel.push(Event { at, seq, kind }),
-        }
-    }
-
-    /// Removes and returns the earliest event with its payload inline —
-    /// the dispatcher's pop (see [`Popped`]).
-    pub fn pop_event(&mut self) -> Option<Popped> {
-        let e = self.pop_inner()?;
-        self.len -= 1;
-        if self.len == 0 {
-            self.maybe_release();
-        }
-        Some(e)
-    }
-
-    /// Removes and returns the earliest event (boxed [`Event`] shape,
-    /// for callers that store or compare events).
-    pub fn pop(&mut self) -> Option<Event> {
-        let p = self.pop_event()?;
-        let kind = match p.kind {
-            PoppedKind::Deliver(d) => EventKind::Deliver(self.boxed(d)),
-            PoppedKind::ChannelIdle { link } => EventKind::ChannelIdle { link },
-            PoppedKind::Timer { agent, token } => EventKind::Timer { agent, token },
-            PoppedKind::Message { to, from, token } => EventKind::Message { to, from, token },
-            PoppedKind::Fault { index } => EventKind::Fault { index },
-        };
-        Some(Event {
-            at: p.at,
-            seq: p.seq,
-            kind,
-        })
-    }
-
-    fn pop_inner(&mut self) -> Option<Popped> {
-        match self.engine {
-            EngineKind::Heap => {
-                let e = self.heap.pop()?;
-                Some(self.unbox(e))
-            }
-            EngineKind::Wheel => {
-                let take_rail = match (self.wheel.peek_key(), self.rails.peek_key()) {
-                    (Some(w), Some(r)) => r < w,
-                    (None, Some(_)) => true,
-                    (Some(_), None) => false,
-                    (None, None) => return None,
-                };
-                Some(self.pop_wheel_source(take_rail))
-            }
-        }
-    }
-
-    /// Pops from the chosen wheel-engine source (`true` = rails). The
-    /// caller has already established the source is non-empty.
-    fn pop_wheel_source(&mut self, take_rail: bool) -> Popped {
-        if take_rail {
-            let (at, seq, item) = self.rails.pop_min().expect("rail head exists");
-            let kind = match item {
-                RailItem::Departure(link) => PoppedKind::ChannelIdle { link },
-                RailItem::Delivery(d) => PoppedKind::Deliver(d),
-            };
-            Popped { at, seq, kind }
-        } else {
-            let e = self.wheel.pop().expect("wheel head exists");
-            self.unbox(e)
-        }
-    }
-
-    /// Like [`EventQueue::pop_event`], but only if the earliest event
-    /// fires at or before `deadline`; later events stay queued.
     ///
-    /// Peek and pop are fused: the run loop calls this once per event,
-    /// so the min-across-sources comparison happens exactly once instead
-    /// of once in `peek_time` and again in the pop.
-    pub fn pop_event_before(&mut self, deadline: SimTime) -> Option<Popped> {
-        let p = match self.engine {
-            EngineKind::Heap => {
-                if self.heap.peek()?.at > deadline {
-                    return None;
-                }
-                let e = self.heap.pop().expect("peeked");
-                self.unbox(e)
-            }
-            EngineKind::Wheel => {
-                let (key, take_rail) = match (self.wheel.peek_key(), self.rails.peek_key()) {
-                    (Some(w), Some(r)) => {
-                        if r < w {
-                            (r, true)
-                        } else {
-                            (w, false)
-                        }
-                    }
-                    (None, Some(r)) => (r, true),
-                    (Some(w), None) => (w, false),
-                    (None, None) => return None,
-                };
-                if key.0 > deadline {
-                    return None;
-                }
-                self.pop_wheel_source(take_rail)
-            }
+    /// # Panics
+    /// Panics if a `ChannelIdle` is scheduled while the same channel
+    /// still has one pending, or if a delivery arrives before a pending
+    /// delivery over the same channel (see the module docs).
+    #[inline]
+    pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.len += 1;
+        let kind = match kind {
+            EventKind::Deliver(d) => return self.rails.push_delivery(at, seq, d),
+            EventKind::ChannelIdle { link } => return self.rails.push_departure(link, at, seq),
+            EventKind::Timer { agent, token } => HeapKind::Timer { agent, token },
+            EventKind::Message { to, from, token } => HeapKind::Message { to, from, token },
+            EventKind::Fault { index } => HeapKind::Fault { index },
         };
-        self.len -= 1;
-        if self.len == 0 {
-            self.maybe_release();
-        }
-        Some(p)
+        self.heap.push(HeapEntry { at, seq, kind });
+    }
+
+    /// Removes and returns the earliest event.
+    pub fn pop(&mut self) -> Option<Event> {
+        self.pop_before(SimTime::MAX)
     }
 
     /// Removes and returns the earliest event if it fires at or before
     /// `deadline`; later events stay queued.
+    ///
+    /// Peek and pop are fused: the run loop calls this once per event,
+    /// so the min-across-parts comparison happens exactly once.
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<Event> {
-        if self.peek_time()? > deadline {
+        let heap = self.heap.peek().map(HeapEntry::key);
+        let (at, take_rail) = match (self.rails.peek_key(), heap) {
+            (Some(r), Some(h)) if r < h => (r.0, true),
+            (_, Some(h)) => (h.0, false),
+            (Some(r), None) => (r.0, true),
+            (None, None) => return None,
+        };
+        if at > deadline {
             return None;
         }
-        self.pop()
+        let ev = if take_rail {
+            self.rails.pop_min()
+        } else {
+            self.heap.pop().expect("peeked").into_event()
+        };
+        self.len -= 1;
+        if self.len == 0 {
+            self.maybe_release();
+        }
+        Some(ev)
     }
 
-    /// Timestamp of the earliest pending event. Takes `&mut self`: the
-    /// wheel engine may advance its cursor to find the minimum (which
-    /// never changes what will be popped, only where it is staged).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match self.engine {
-            EngineKind::Heap => self.heap.peek().map(|e| e.at),
-            EngineKind::Wheel => match (self.wheel.peek_key(), self.rails.peek_key()) {
-                (Some(w), Some(r)) => Some(w.min(r).0),
-                (Some(w), None) => Some(w.0),
-                (None, Some(r)) => Some(r.0),
-                (None, None) => None,
-            },
+    /// Timestamp of the earliest pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let heap = self.heap.peek().map(HeapEntry::key);
+        match (self.rails.peek_key(), heap) {
+            (Some(r), Some(h)) => Some(r.min(h).0),
+            (r, h) => r.or(h).map(|k| k.0),
         }
     }
 
@@ -929,7 +498,7 @@ impl EventQueue {
     /// Approximate retained capacity, in event-sized slots — the
     /// observable the capacity-release tests bound.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity() + self.wheel.capacity() + self.rails.capacity() + self.pool.len()
+        self.heap.capacity() + self.rails.capacity()
     }
 
     /// Releases oversized internal buffers (see module docs). Called
@@ -938,12 +507,7 @@ impl EventQueue {
         if self.heap.capacity() > KEEP_CAPACITY {
             self.heap.shrink_to_fit();
         }
-        self.wheel.release();
         self.rails.release();
-        if self.pool.len() > KEEP_CAPACITY {
-            self.pool.truncate(KEEP_CAPACITY);
-            self.pool.shrink_to_fit();
-        }
     }
 
     fn maybe_release(&mut self) {
@@ -956,153 +520,248 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::FlowId;
+    use std::collections::BTreeMap;
 
     fn timer(agent: u32, token: u64) -> EventKind {
         EventKind::Timer { agent, token }
     }
 
-    fn engines() -> [EngineKind; 2] {
-        [EngineKind::Heap, EngineKind::Wheel]
+    fn deliver(via: LinkId, token: u64) -> EventKind {
+        EventKind::Deliver(Delivery {
+            node: NodeId(1),
+            via,
+            epoch: 0,
+            pkt: Packet::data(FlowId(1), NodeId(0), NodeId(1), token * 100, 100),
+        })
+    }
+
+    /// The reference queue the equivalence tests compare against: every
+    /// event in one ordered map keyed by `(time, seq)`.
+    #[derive(Default)]
+    struct Reference {
+        next_seq: u64,
+        events: BTreeMap<(SimTime, u64), EventKind>,
+    }
+
+    impl Reference {
+        fn schedule(&mut self, at: SimTime, kind: EventKind) {
+            self.events.insert((at, self.next_seq), kind);
+            self.next_seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<Event> {
+            let ((at, seq), kind) = self.events.pop_first()?;
+            Some(Event { at, seq, kind })
+        }
+    }
+
+    /// Drives the queue and the reference through the same schedule,
+    /// the way the simulator would: at most one pending departure per
+    /// link, in-order deliveries per link, local sends and messages at
+    /// the current time, timers near and seconds out, faults, and
+    /// interleaved pops that advance the clock. Asserts every pop
+    /// matches and returns how many events popped.
+    fn drive(ops: impl IntoIterator<Item = (u64, u8)>) -> usize {
+        const LINKS: usize = 4;
+        let mut q = EventQueue::new();
+        let mut reference = Reference::default();
+        let mut now = 0u64;
+        let mut departing = [false; LINKS];
+        let mut tail = [0u64; LINKS];
+        let mut popped = 0;
+        let mut pop = |q: &mut EventQueue,
+                       reference: &mut Reference,
+                       now: &mut u64,
+                       departing: &mut [bool; LINKS]|
+         -> bool {
+            let (got, want) = (q.pop(), reference.pop());
+            assert_eq!(got, want, "divergence at pop {popped}");
+            let Some(e) = got else { return false };
+            popped += 1;
+            assert!(e.at.0 >= *now, "time went backwards");
+            *now = e.at.0;
+            if let EventKind::ChannelIdle { link } = e.kind {
+                departing[link.index()] = false;
+            }
+            true
+        };
+        for (i, (r, op)) in ops.into_iter().enumerate() {
+            let i = i as u64;
+            // Quantize offsets so same-instant ties are common.
+            let near = now + (r % 5_000) / 1_000 * 1_000;
+            let li = (r / 7) as usize % LINKS;
+            let link = LinkId(li as u32);
+            let mut both = |at: u64, kind: EventKind| {
+                q.schedule(SimTime(at), kind.clone());
+                reference.schedule(SimTime(at), kind);
+            };
+            match op % 10 {
+                0 if !departing[li] => {
+                    departing[li] = true;
+                    both(near, EventKind::ChannelIdle { link });
+                }
+                0..=2 => {
+                    tail[li] = tail[li].max(near);
+                    both(tail[li], deliver(link, i));
+                }
+                3 => both(now, deliver(LinkId::NONE, i)),
+                4 => both(near, timer(0, i)),
+                5 => both(now + 3_000_000_000 + r % 1_000, timer(1, i)),
+                6 => both(
+                    now,
+                    EventKind::Message {
+                        to: 0,
+                        from: 1,
+                        token: i,
+                    },
+                ),
+                7 => both(near, EventKind::Fault { index: i as u32 }),
+                _ => {
+                    pop(&mut q, &mut reference, &mut now, &mut departing);
+                }
+            }
+        }
+        while pop(&mut q, &mut reference, &mut now, &mut departing) {}
+        assert!(q.is_empty());
+        popped
     }
 
     #[test]
     fn event_size_stays_small() {
-        // Heap sifts copy whole events; a fat event (e.g. an inline
+        // Heap sifts copy whole entries; a fat entry (e.g. an inline
         // ~56-byte packet) multiplies the event loop's memory traffic.
         assert!(
-            std::mem::size_of::<Event>() <= 40,
-            "Event grew to {} bytes",
-            std::mem::size_of::<Event>()
+            std::mem::size_of::<HeapEntry>() <= 40,
+            "HeapEntry grew to {} bytes",
+            std::mem::size_of::<HeapEntry>()
         );
     }
 
     #[test]
     fn pop_before_respects_deadline() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            q.schedule(SimTime(10), timer(0, 1));
-            q.schedule(SimTime(20), timer(0, 2));
-            q.schedule(SimTime(20), timer(0, 3));
-            q.schedule(SimTime(30), timer(0, 4));
-            assert!(q.pop_before(SimTime(5)).is_none());
-            assert_eq!(q.pop_before(SimTime(20)).unwrap().at, SimTime(10));
-            // Deadline is inclusive, ties still pop in insertion order.
-            let e2 = q.pop_before(SimTime(20)).unwrap();
-            let e3 = q.pop_before(SimTime(20)).unwrap();
-            assert!(e2.seq < e3.seq);
-            assert!(q.pop_before(SimTime(20)).is_none());
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop_before(SimTime::MAX).unwrap().at, SimTime(30));
-            assert!(q.pop_before(SimTime::MAX).is_none());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(10), timer(0, 1));
+        q.schedule(SimTime(20), timer(0, 2));
+        q.schedule(SimTime(20), timer(0, 3));
+        q.schedule(SimTime(30), timer(0, 4));
+        assert!(q.pop_before(SimTime(5)).is_none());
+        assert_eq!(q.pop_before(SimTime(20)).unwrap().at, SimTime(10));
+        // Deadline is inclusive, ties still pop in insertion order.
+        let e2 = q.pop_before(SimTime(20)).unwrap();
+        let e3 = q.pop_before(SimTime(20)).unwrap();
+        assert!(e2.seq < e3.seq);
+        assert!(q.pop_before(SimTime(20)).is_none());
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_before(SimTime::MAX).unwrap().at, SimTime(30));
+        assert!(q.pop_before(SimTime::MAX).is_none());
     }
 
     #[test]
     fn pops_in_time_order() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            q.schedule(SimTime(30), timer(0, 3));
-            q.schedule(SimTime(10), timer(0, 1));
-            q.schedule(SimTime(20), timer(0, 2));
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|e| match e.kind {
-                    EventKind::Timer { token, .. } => token,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(30), timer(0, 3));
+        q.schedule(SimTime(10), timer(0, 1));
+        q.schedule(SimTime(20), timer(0, 2));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|e| match e.kind {
+                EventKind::Timer { token, .. } => token,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            for token in 0..100 {
-                q.schedule(SimTime(5), timer(0, token));
-            }
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|e| match e.kind {
-                    EventKind::Timer { token, .. } => token,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
+        let mut q = EventQueue::new();
+        for token in 0..100 {
+            q.schedule(SimTime(5), timer(0, token));
         }
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|e| match e.kind {
+                EventKind::Timer { token, .. } => token,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
-    fn far_future_events_cross_the_wheel_horizon() {
-        // Spans several horizons (8.4 ms each) plus near-term events, so
-        // buckets, overflow refill, and cursor jumps all exercise.
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            let times = [
-                0u64,
-                1,
-                5_000,
-                4_100_000, // a bucket boundary region
-                8_400_000, // ~ horizon
-                8_400_001,
-                100_000_000,   // far overflow
-                3_000_000_000, // seconds out
-            ];
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime(t), timer(0, i as u64));
-            }
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
-            let mut sorted = times.to_vec();
-            sorted.sort_unstable();
-            assert_eq!(order, sorted, "engine {engine:?}");
+    fn near_and_far_future_events_pop_in_order() {
+        let mut q = EventQueue::new();
+        let times = [
+            0u64,
+            1,
+            5_000,
+            4_100_000,
+            8_400_000,
+            8_400_001,
+            100_000_000,
+            3_000_000_000, // seconds out
+        ];
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(SimTime(t), timer(0, i as u64));
         }
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
+        let mut sorted = times.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(order, sorted);
     }
 
     #[test]
     fn peek_time_tracks_minimum() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            assert_eq!(q.peek_time(), None);
-            q.schedule(SimTime(42), timer(0, 0));
-            q.schedule(SimTime(7), timer(0, 1));
-            assert_eq!(q.peek_time(), Some(SimTime(7)));
-            q.pop();
-            assert_eq!(q.peek_time(), Some(SimTime(42)));
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.schedule(SimTime(42), timer(0, 0));
+        q.schedule(SimTime(7), timer(0, 1));
+        assert_eq!(q.peek_time(), Some(SimTime(7)));
+        q.pop();
+        assert_eq!(q.peek_time(), Some(SimTime(42)));
     }
 
     #[test]
     fn len_and_is_empty() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            assert!(q.is_empty());
-            q.schedule(SimTime(1), timer(0, 0));
-            assert_eq!(q.len(), 1);
-            q.pop();
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        q.schedule(SimTime(1), timer(0, 0));
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert!(q.is_empty());
     }
 
     #[test]
     fn drain_releases_capacity() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            for i in 0..100_000u64 {
-                q.schedule(SimTime(i * 13 % 50_000), timer(0, i));
-            }
-            assert!(q.capacity() >= 50_000, "queue should have grown");
-            while q.pop().is_some() {}
-            assert!(
-                q.capacity() <= 4 * KEEP_CAPACITY,
-                "engine {engine:?} retained {} slots after drain",
-                q.capacity()
-            );
+        let mut q = EventQueue::new();
+        for i in 0..100_000u64 {
+            q.schedule(SimTime(i * 13 % 50_000), timer(0, i));
         }
+        assert!(q.capacity() >= 50_000, "queue should have grown");
+        while q.pop().is_some() {}
+        assert!(
+            q.capacity() <= 4 * KEEP_CAPACITY,
+            "retained {} slots after drain",
+            q.capacity()
+        );
     }
 
-    /// A deterministic mixed workload for the equivalence tests: link
-    /// traffic (in-order and deliberately out-of-order deliveries,
-    /// paired and duplicate departures), timers near and far, and
-    /// interleaved pops.
+    #[test]
+    #[should_panic(expected = "second pending ChannelIdle")]
+    fn second_departure_on_a_busy_link_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(10), EventKind::ChannelIdle { link: LinkId(3) });
+        q.schedule(SimTime(20), EventKind::ChannelIdle { link: LinkId(3) });
+    }
+
+    #[test]
+    #[should_panic(expected = "out-of-order delivery")]
+    fn delivery_before_the_rail_tail_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(100), deliver(LinkId(1), 0));
+        q.schedule(SimTime(99), deliver(LinkId(1), 1));
+    }
+
+    /// A deterministic mixed workload for the equivalence test.
     fn mixed_op(i: u64) -> (u64, u8) {
         // Simple LCG so the pattern is fixed but irregular.
         let x = i
@@ -1113,54 +772,9 @@ mod tests {
 
     #[test]
     fn engines_pop_identically_on_mixed_traffic() {
-        use crate::packet::FlowId;
-        let run = |engine: EngineKind| -> Vec<(u64, u64, String)> {
-            let mut q = EventQueue::with_engine(engine);
-            let mut out = Vec::new();
-            let mut t = 0u64;
-            for i in 0..4_000u64 {
-                let (r, op) = mixed_op(i);
-                t += r % 5_000; // mostly forward, frequent ties via %
-                let at = SimTime(t - t % 3); // force some equal stamps
-                match op % 8 {
-                    0 | 1 => q.schedule(
-                        at,
-                        EventKind::ChannelIdle {
-                            link: LinkId((r % 4) as u32),
-                        },
-                    ),
-                    2..=4 => {
-                        let d = Delivery {
-                            node: NodeId(1),
-                            via: LinkId((r % 4) as u32),
-                            epoch: 0,
-                            pkt: Packet::data(FlowId(1), NodeId(0), NodeId(1), i * 100, 100),
-                        };
-                        // Out-of-order arrivals (earlier than the rail
-                        // tail) exercise the wheel fallback.
-                        let at = if op % 16 < 2 { SimTime(t / 2) } else { at };
-                        q.schedule(at, EventKind::Deliver(Box::new(d)));
-                    }
-                    5 => q.schedule(SimTime(t + 50_000_000), timer(0, i)), // overflow range
-                    6 => q.schedule(at, timer(0, i)),
-                    _ => {
-                        if let Some(e) = q.pop() {
-                            out.push((e.at.0, e.seq, format!("{:?}", e.kind)));
-                        }
-                    }
-                }
-            }
-            while let Some(e) = q.pop() {
-                out.push((e.at.0, e.seq, format!("{:?}", e.kind)));
-            }
-            out
-        };
-        let heap = run(EngineKind::Heap);
-        let wheel = run(EngineKind::Wheel);
-        assert_eq!(heap.len(), wheel.len());
-        for (i, (h, w)) in heap.iter().zip(wheel.iter()).enumerate() {
-            assert_eq!(h, w, "divergence at pop {i}");
-        }
+        let popped = drive((0..4_000u64).map(mixed_op));
+        // Every scheduled event popped, through rails and heap alike.
+        assert!(popped > 3_000, "only {popped} events popped");
     }
 
     #[cfg(test)]
@@ -1170,68 +784,30 @@ mod tests {
 
         proptest! {
             /// Popping always yields a non-decreasing time sequence, and
-            /// equal-time events preserve insertion order — on both
-            /// engines.
+            /// equal-time events preserve insertion order.
             #[test]
             fn total_order(times in proptest::collection::vec(0u64..1000, 1..200)) {
-                for engine in engines() {
-                    let mut q = EventQueue::with_engine(engine);
-                    for (i, &t) in times.iter().enumerate() {
-                        q.schedule(SimTime(t), timer(0, i as u64));
-                    }
-                    let mut prev: Option<Event> = None;
-                    while let Some(e) = q.pop() {
-                        if let Some(p) = &prev {
-                            prop_assert!(p.at <= e.at);
-                            if p.at == e.at {
-                                prop_assert!(p.seq < e.seq);
-                            }
+                let mut q = EventQueue::new();
+                for (i, &t) in times.iter().enumerate() {
+                    q.schedule(SimTime(t), timer(0, i as u64));
+                }
+                let mut prev: Option<Event> = None;
+                while let Some(e) = q.pop() {
+                    if let Some(p) = &prev {
+                        prop_assert!(p.at <= e.at);
+                        if p.at == e.at {
+                            prop_assert!(p.seq < e.seq);
                         }
-                        prev = Some(e);
                     }
+                    prev = Some(e);
                 }
             }
 
-            /// Satellite: wheel-vs-heap pop-order equivalence on random
-            /// insert/pop interleavings. `ops` drives both an insert
-            /// schedule (with same-timestamp ties and a wheel-horizon
-            /// time spread) and interleaved pops; the two engines must
-            /// produce identical `(time, seq, kind)` streams.
+            /// Rails-plus-heap pops in exactly the reference order on
+            /// random schedule/pop interleavings (see [`drive`]).
             #[test]
             fn engine_equivalence(ops in proptest::collection::vec((0u64..30_000_000, 0u8..10), 1..300)) {
-                let run = |engine: EngineKind| -> Vec<(u64, u64, String)> {
-                    let mut q = EventQueue::with_engine(engine);
-                    let mut out = Vec::new();
-                    for (i, &(t, op)) in ops.iter().enumerate() {
-                        // Quantize times so ties are common.
-                        let at = SimTime(t - t % 1000);
-                        match op {
-                            0..=2 => q.schedule(at, timer(0, i as u64)),
-                            3 | 4 => q.schedule(at, EventKind::ChannelIdle { link: LinkId((op % 3) as u32) }),
-                            5 | 6 => {
-                                use crate::packet::FlowId;
-                                let d = Delivery {
-                                    node: NodeId(1),
-                                    via: LinkId((op % 3) as u32),
-                                    epoch: 0,
-                                    pkt: Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 100),
-                                };
-                                q.schedule(at, EventKind::Deliver(Box::new(d)));
-                            }
-                            7 => q.schedule(at, EventKind::Message { to: 0, from: 1, token: i as u64 }),
-                            _ => {
-                                if let Some(e) = q.pop() {
-                                    out.push((e.at.0, e.seq, format!("{:?}", e.kind)));
-                                }
-                            }
-                        }
-                    }
-                    while let Some(e) = q.pop() {
-                        out.push((e.at.0, e.seq, format!("{:?}", e.kind)));
-                    }
-                    out
-                };
-                prop_assert_eq!(run(EngineKind::Heap), run(EngineKind::Wheel));
+                drive(ops);
             }
         }
     }

@@ -189,7 +189,8 @@ impl Channel {
     /// wakeup) and when the packet reaches the far node (`done` plus the
     /// propagation delay). Arrivals per channel are monotone in `now`
     /// because `done` is — this is the FIFO invariant the event engine's
-    /// link rails rely on (see `crate::event`).
+    /// link rails rely on and assert on every schedule (see
+    /// `crate::event`).
     pub fn serialize_spans(&mut self, now: SimTime, bytes: u32) -> (SimTime, SimTime) {
         let done = now + self.tx_time(bytes);
         (done, done + self.spec.delay)

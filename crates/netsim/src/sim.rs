@@ -20,7 +20,7 @@
 //!   flow.
 //! * All ties are broken deterministically (see [`crate::event`]).
 
-use crate::event::{EngineKind, EventKind, EventQueue, Popped, PoppedKind};
+use crate::event::{Delivery, Event, EventKind, EventQueue};
 use crate::fault::{FaultAction, FaultPlan, LossModel, LossState};
 use crate::link::LinkId;
 use crate::node::{NodeId, NodeKind};
@@ -153,14 +153,21 @@ impl SimCore {
         // Cut-through: when the queue is empty and the channel is idle
         // and up, enqueue-then-immediately-dequeue is the identity (no
         // drop, eviction, or ECN mark is possible against a zero
-        // backlog), so the packet goes straight to the serializer. Gated
-        // off whenever a telemetry sink is installed so QueueDepth
-        // events keep their exact pre-existing cadence.
-        if self.sink.is_none()
-            && !self.topo.channels[li].busy
+        // backlog), so the packet goes straight to the serializer. A
+        // sink sees the one sample that round trip would have recorded:
+        // the packet alone in the queue.
+        if !self.topo.channels[li].busy
             && self.topo.channels[li].up
             && self.queues[li].passes_through(pkt.wire_bytes)
         {
+            if let Some(sink) = self.sink.as_mut() {
+                sink.record(&TelemetryEvent::QueueDepth {
+                    t_ns: self.now.as_nanos(),
+                    link: li as u32,
+                    bytes: u64::from(pkt.wire_bytes),
+                    packets: 1,
+                });
+            }
             self.transmit(link, pkt);
             return;
         }
@@ -268,7 +275,13 @@ impl SimCore {
                 });
             }
         } else {
-            self.events.schedule_delivery(arrival, to, link, epoch, pkt);
+            let d = Delivery {
+                node: to,
+                via: link,
+                epoch,
+                pkt,
+            };
+            self.events.schedule(arrival, EventKind::Deliver(d));
         }
     }
 
@@ -388,10 +401,15 @@ impl AgentCtx<'_> {
     pub fn send(&mut self, pkt: Packet) {
         let host = self.node();
         if pkt.dst == host {
-            let at = self.core.now;
+            let d = Delivery {
+                node: host,
+                via: LinkId::NONE,
+                epoch: 0,
+                pkt,
+            };
             self.core
                 .events
-                .schedule_delivery(at, host, LinkId::NONE, 0, pkt);
+                .schedule(self.core.now, EventKind::Deliver(d));
             return;
         }
         self.core.forward(host, pkt);
@@ -470,17 +488,8 @@ pub struct Simulator {
 
 impl Simulator {
     /// Creates a simulator over a routed topology with a deterministic
-    /// seed, on the environment-selected event engine
-    /// ([`EngineKind::from_env`]).
+    /// seed.
     pub fn new(topo: Topology, seed: u64) -> Self {
-        Self::with_engine(topo, seed, EngineKind::from_env())
-    }
-
-    /// Creates a simulator on an explicit event engine. Both engines
-    /// produce bit-for-bit identical runs (see [`crate::event`]); the
-    /// choice only affects wall-clock speed, which is why cross-engine
-    /// replay-hash checks are meaningful.
-    pub fn with_engine(topo: Topology, seed: u64, engine: EngineKind) -> Self {
         let queues: Vec<_> = topo.channels.iter().map(|c| c.spec.queue.build()).collect();
         let traces = (0..topo.channels.len()).map(|_| None).collect();
         let flow_tables = vec![Vec::new(); topo.nodes.len()];
@@ -495,7 +504,7 @@ impl Simulator {
         Self {
             core: SimCore {
                 now: SimTime::ZERO,
-                events: EventQueue::with_engine(engine),
+                events: EventQueue::new(),
                 topo,
                 queues,
                 traces,
@@ -512,11 +521,6 @@ impl Simulator {
             started: false,
             profiler: None,
         }
-    }
-
-    /// The event engine this simulator runs on.
-    pub fn engine(&self) -> EngineKind {
-        self.core.events.engine()
     }
 
     /// Approximate retained capacity of the event queue, in event-sized
@@ -687,18 +691,18 @@ impl Simulator {
 
     /// Dispatches one already-popped event, timing it when the profiler
     /// is enabled.
-    fn dispatch(&mut self, ev: Popped) {
+    fn dispatch(&mut self, ev: Event) {
         debug_assert!(ev.at >= self.core.now, "time went backwards");
         self.core.now = ev.at;
         self.core.stats.events += 1;
         if self.profiler.is_some() {
             // Label indices match PROFILE_LABELS order.
             let label = match ev.kind {
-                PoppedKind::ChannelIdle { .. } => 0,
-                PoppedKind::Deliver(_) => 1,
-                PoppedKind::Timer { .. } => 2,
-                PoppedKind::Message { .. } => 3,
-                PoppedKind::Fault { .. } => 4,
+                EventKind::ChannelIdle { .. } => 0,
+                EventKind::Deliver(_) => 1,
+                EventKind::Timer { .. } => 2,
+                EventKind::Message { .. } => 3,
+                EventKind::Fault { .. } => 4,
             };
             let t0 = std::time::Instant::now();
             self.dispatch_kind(ev.kind);
@@ -713,12 +717,12 @@ impl Simulator {
 
     /// The dispatch body proper (separate so [`Simulator::dispatch`] can
     /// wrap it with wall-clock attribution).
-    fn dispatch_kind(&mut self, kind: PoppedKind) {
+    fn dispatch_kind(&mut self, kind: EventKind) {
         match kind {
-            PoppedKind::ChannelIdle { link } => {
+            EventKind::ChannelIdle { link } => {
                 self.core.start_tx(link);
             }
-            PoppedKind::Deliver(dv) => {
+            EventKind::Deliver(dv) => {
                 // A stale epoch means the carrying link went down after
                 // serialization began: the packet was cut on the wire.
                 if dv.via != LinkId::NONE
@@ -760,15 +764,15 @@ impl Simulator {
                     },
                 }
             }
-            PoppedKind::Timer { agent, token } => {
+            EventKind::Timer { agent, token } => {
                 self.with_agent(agent as usize, |a, ctx| a.on_timer(ctx, token));
             }
-            PoppedKind::Message { to, from, token } => {
+            EventKind::Message { to, from, token } => {
                 self.with_agent(to as usize, |a, ctx| {
                     a.on_message(ctx, AgentId(from as usize), token)
                 });
             }
-            PoppedKind::Fault { index } => {
+            EventKind::Fault { index } => {
                 self.core.apply_fault(index as usize);
             }
         }
@@ -777,42 +781,26 @@ impl Simulator {
     /// Pops one event, attributing the pop's wall-clock to the `sched`
     /// profiler label when profiling (only successful pops are recorded,
     /// so `sched.events` matches the dispatched-event count).
-    fn profiled_pop(&mut self, deadline: Option<SimTime>) -> Option<Popped> {
-        let pop = |core: &mut SimCore| match deadline {
-            Some(d) => core.events.pop_event_before(d),
-            None => core.events.pop_event(),
-        };
-        if self.profiler.is_some() {
-            let t0 = std::time::Instant::now();
-            let ev = pop(&mut self.core);
-            let ns = t0.elapsed().as_nanos() as u64;
-            if ev.is_some() {
-                if let Some(p) = self.profiler.as_mut() {
-                    p.record(PROFILE_SCHED, ns);
-                }
-            }
-            ev
-        } else {
-            pop(&mut self.core)
+    fn profiled_pop(&mut self, deadline: SimTime) -> Option<Event> {
+        if self.profiler.is_none() {
+            return self.core.events.pop_before(deadline);
         }
-    }
-
-    /// Processes a single event. Returns `false` when the queue is empty.
-    fn step(&mut self) -> bool {
-        match self.profiled_pop(None) {
-            Some(ev) => {
-                self.dispatch(ev);
-                true
+        let t0 = std::time::Instant::now();
+        let ev = self.core.events.pop_before(deadline);
+        let ns = t0.elapsed().as_nanos() as u64;
+        if ev.is_some() {
+            if let Some(p) = self.profiler.as_mut() {
+                p.record(PROFILE_SCHED, ns);
             }
-            None => false,
         }
+        ev
     }
 
     /// Processes a single event if it fires at or before `deadline`.
     /// Returns `false` when the queue is empty or the next event is later
     /// than the deadline.
     fn step_before(&mut self, deadline: SimTime) -> bool {
-        match self.profiled_pop(Some(deadline)) {
+        match self.profiled_pop(deadline) {
             Some(ev) => {
                 self.dispatch(ev);
                 true
@@ -825,7 +813,7 @@ impl Simulator {
     /// [`Agent::start`] first.
     pub fn run(&mut self) {
         self.start_agents();
-        while self.step() {}
+        while self.step_before(SimTime::MAX) {}
     }
 
     /// Runs until the queue drains or simulated time would pass
@@ -1280,6 +1268,52 @@ mod tests {
             .count();
         // link_flap = down + up; loss_window = set + restore.
         assert_eq!(faults, 4);
+    }
+
+    /// Cut-through stays on under a sink, and the sink sees the one
+    /// sample enqueue-then-dequeue would have recorded.
+    #[test]
+    fn cut_through_records_the_queue_depth_sample() {
+        use mltcp_telemetry::RingRecorder;
+        struct Quiet;
+        impl Agent for Quiet {
+            fn on_packet(&mut self, _ctx: &mut AgentCtx<'_>, _pkt: Packet) {}
+        }
+        let (mut sim, h0, h1) = two_host_sim(Bandwidth::gbps(1), SimDuration::micros(5), 0.0);
+        let flow = FlowId(1);
+        let pinger = sim.add_agent(
+            h0,
+            Pinger {
+                peer: h1,
+                flow,
+                pkts: 1,
+                echoes: 0,
+                last_echo_at: SimTime::ZERO,
+            },
+        );
+        let quiet = sim.add_agent(h1, Quiet);
+        sim.bind_flow(flow, pinger);
+        sim.bind_flow(flow, quiet);
+        sim.set_sink(Box::new(RingRecorder::new(16)));
+        sim.run();
+        assert_eq!(sim.stats().delivered, 1);
+        let rec = *sim
+            .take_sink()
+            .expect("sink installed")
+            .into_any()
+            .downcast::<RingRecorder>()
+            .expect("ring recorder");
+        let link = sim.topology().next_hop(h0, h1).expect("route");
+        let wire = Packet::data(flow, h0, h1, 0, 1500).wire_bytes;
+        assert_eq!(
+            rec.events(),
+            vec![TelemetryEvent::QueueDepth {
+                t_ns: 0,
+                link: link.index() as u32,
+                bytes: u64::from(wire),
+                packets: 1,
+            }]
+        );
     }
 
     /// The profiler attributes every dispatched event (plus agent
